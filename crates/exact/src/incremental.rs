@@ -2,31 +2,52 @@
 //! churn and warm-start the solver from it instead of solving from
 //! scratch after every event.
 //!
-//! The [`IncrementalSolver`] mirrors the live topology as sorted
-//! adjacency sets plus a global parent forest — the last solved basis.
-//! Churn events ([`IncrementalSolver::insert_edge`],
+//! The [`IncrementalSolver`] mirrors the live topology as flat adjacency
+//! rows (one strictly ascending `Vec` per vertex) plus a global parent
+//! forest — the last solved basis. Churn events
+//! ([`IncrementalSolver::insert_edge`],
 //! [`IncrementalSolver::remove_edge`], [`IncrementalSolver::crash`],
-//! [`IncrementalSolver::rejoin`]) update the mirror in `O(deg)`, clear
-//! only the forest links the event invalidated, and mark the touched
-//! vertices dirty. [`IncrementalSolver::solve_all`] then walks the live
-//! components: untouched components are served from the per-component
-//! cache; dirty ones have their forest repaired (re-root + link through
-//! the lexicographically smallest crossing edges) and are re-solved from
-//! that warm basis, falling back to a cold BFS start only when churn
-//! shredded the component's forest entirely. Solved trees are written
-//! back as the next basis, so long churn chains stay incremental
+//! [`IncrementalSolver::rejoin`]) update the rows in `O(deg)` (binary
+//! search plus shift), clear only the forest links the event invalidated,
+//! and mark the touched vertices dirty. [`IncrementalSolver::solve_all`]
+//! then labels the live components in one pass over the rows: untouched
+//! components are served from the per-component cache; dirty ones get
+//! their graph built straight from the rows ([`Graph::from_sorted_rows`],
+//! relabelled through a reusable vertex → local-index table, no hashing
+//! or sorting), have their forest repaired on that graph (re-root + link
+//! through the lexicographically smallest crossing edges) and are
+//! re-solved from that warm basis, falling back to a cold BFS start only
+//! when churn shredded the component's forest entirely. Solved trees are
+//! written back as the next basis, so long churn chains stay incremental
 //! throughout.
 //!
-//! Everything is keyed and iterated in ascending vertex order
-//! (`BTreeSet`/`BTreeMap`, sorted member lists), so replays are
-//! bit-deterministic regardless of event history representation.
+//! A warm re-judge after one edge change makes only a handful of pivots,
+//! so its cost is mostly this bookkeeping. Milliseconds per re-judge on
+//! G(10⁴, 8/n), 256 re-judges after single-edge changes (two graphs of
+//! seed 1, release build, 2-vCPU Xeon), before and after the flat rows:
+//!
+//! | stage                                   | B-tree rows | flat rows |
+//! |-----------------------------------------|------------:|----------:|
+//! | component grouping                      |        1.45 |      1.17 |
+//! | component graph build                   |        7.99 |      0.80 |
+//! | basis repair                            |        2.04 |      0.68 |
+//! | articulation bound (`best_cut_bound`)   |        1.64 |      1.63 |
+//! | improvement phases                      |        0.62 |      0.65 |
+//! | tree build + removal-bound BFS          |        0.36 |      0.38 |
+//! | write-back and cache                    |        0.21 |      0.07 |
+//! | total                                   |       14.30 |      5.38 |
+//!
+//! Everything is keyed and iterated in ascending vertex order (sorted
+//! rows, components labelled from ascending seeds, sorted member lists,
+//! a `BTreeMap` cache), so replays are bit-deterministic regardless of
+//! event history representation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::solve::{Solution, Solver};
 use crate::structure::NONE;
 use crate::witness::Witness;
-use ssmdst_graph::{GraphBuilder, NodeId, UnionFind};
+use ssmdst_graph::{Graph, NodeId, UnionFind};
 
 /// The certified solve of one live component, in **component-local**
 /// vertex ids (indices into [`CompSolution::members`]).
@@ -86,13 +107,17 @@ pub struct Stats {
 pub struct IncrementalSolver {
     solver: Solver,
     alive: Vec<bool>,
-    adj: Vec<BTreeSet<NodeId>>,
+    /// Mirror adjacency: one strictly ascending neighbor row per vertex.
+    adj: Vec<Vec<NodeId>>,
     /// Last solved basis: global parent forest (`NONE` = root or dead).
     basis: Vec<NodeId>,
     /// Vertices touched by churn since the last `solve_all`.
-    dirty: BTreeSet<NodeId>,
+    dirty: Vec<bool>,
     /// Per-component cache, keyed by smallest member id.
     cache: BTreeMap<NodeId, CompSolution>,
+    /// Scratch relabelling: each live vertex's index within its component,
+    /// as of the last grouping pass (stale entries for dead vertices).
+    local_of: Vec<u32>,
     stats: Stats,
 }
 
@@ -102,20 +127,19 @@ impl IncrementalSolver {
         IncrementalSolver {
             solver,
             alive: vec![true; n],
-            adj: vec![BTreeSet::new(); n],
+            adj: vec![Vec::new(); n],
             basis: vec![NONE; n],
-            dirty: (0..n as u32).collect(),
+            dirty: vec![true; n],
             cache: BTreeMap::new(),
+            local_of: vec![NONE; n],
             stats: Stats::default(),
         }
     }
 
     /// An engine seeded from a static graph (all vertices alive).
-    pub fn from_graph(g: &ssmdst_graph::Graph, solver: Solver) -> Self {
+    pub fn from_graph(g: &Graph, solver: Solver) -> Self {
         let mut inc = IncrementalSolver::new(g.n(), solver);
-        for &(u, v) in g.edges() {
-            inc.insert_edge(u, v);
-        }
+        inc.adj = g.nodes().map(|v| g.neighbors(v).to_vec()).collect();
         inc
     }
 
@@ -150,30 +174,30 @@ impl IncrementalSolver {
         if !self.in_range(u, v) || !self.alive[u as usize] || !self.alive[v as usize] {
             return false;
         }
-        if !self.adj[u as usize].insert(v) {
+        if !row_insert(&mut self.adj[u as usize], v) {
             return false;
         }
-        self.adj[v as usize].insert(u);
+        row_insert(&mut self.adj[v as usize], u);
         // The forest is linked lazily at solve time; just mark dirty.
-        self.dirty.insert(u);
-        self.dirty.insert(v);
+        self.dirty[u as usize] = true;
+        self.dirty[v as usize] = true;
         true
     }
 
     /// Mirror an edge removal. Returns whether the mirror changed.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        if !self.in_range(u, v) || !self.adj[u as usize].remove(&v) {
+        if !self.in_range(u, v) || !row_remove(&mut self.adj[u as usize], v) {
             return false;
         }
-        self.adj[v as usize].remove(&u);
+        row_remove(&mut self.adj[v as usize], u);
         if self.basis[u as usize] == v {
             self.basis[u as usize] = NONE;
         }
         if self.basis[v as usize] == u {
             self.basis[v as usize] = NONE;
         }
-        self.dirty.insert(u);
-        self.dirty.insert(v);
+        self.dirty[u as usize] = true;
+        self.dirty[v as usize] = true;
         true
     }
 
@@ -193,18 +217,16 @@ impl IncrementalSolver {
         if (v as usize) >= self.alive.len() || !self.alive[v as usize] {
             return false;
         }
-        let nbrs: Vec<NodeId> = self.adj[v as usize].iter().copied().collect();
-        for w in nbrs {
-            self.adj[w as usize].remove(&v);
+        for w in std::mem::take(&mut self.adj[v as usize]) {
+            row_remove(&mut self.adj[w as usize], v);
             if self.basis[w as usize] == v {
                 self.basis[w as usize] = NONE;
             }
-            self.dirty.insert(w);
+            self.dirty[w as usize] = true;
         }
-        self.adj[v as usize].clear();
         self.basis[v as usize] = NONE;
         self.alive[v as usize] = false;
-        self.dirty.insert(v);
+        self.dirty[v as usize] = true;
         true
     }
 
@@ -216,7 +238,7 @@ impl IncrementalSolver {
         }
         self.alive[v as usize] = true;
         self.basis[v as usize] = NONE;
-        self.dirty.insert(v);
+        self.dirty[v as usize] = true;
         for &w in neighbors {
             self.insert_edge(v, w);
         }
@@ -228,33 +250,13 @@ impl IncrementalSolver {
     /// ascending order of smallest member id; the solved trees become the
     /// next basis.
     pub fn solve_all(&mut self) -> Vec<CompSolution> {
-        let n = self.alive.len();
-        // Live components of the mirror.
-        let mut uf = UnionFind::new(n);
-        for v in 0..n as u32 {
-            for &w in self.adj[v as usize].iter() {
-                if w > v {
-                    uf.union(v, w);
-                }
-            }
-        }
-        let mut by_rep: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for v in 0..n as u32 {
-            if self.alive[v as usize] {
-                let r = uf.find(v);
-                by_rep.entry(r).or_default().push(v);
-            }
-        }
-        // Union-find representatives are rank-chosen, not minimal; re-key
-        // by smallest member so results order matches the simulator's
-        // `live_components` (and the cache key is stable across churn).
-        let groups: BTreeMap<NodeId, Vec<NodeId>> =
-            by_rep.into_values().map(|ms| (ms[0], ms)).collect();
-        let mut out = Vec::with_capacity(groups.len());
+        let (order, starts) = self.group_components();
+        let mut out = Vec::with_capacity(starts.len() - 1);
         let mut next_cache = BTreeMap::new();
-        for members in groups.into_values() {
+        for span in starts.windows(2) {
+            let members = &order[span[0]..span[1]];
             let key = members[0]; // ascending by construction
-            let clean = !members.iter().any(|v| self.dirty.contains(v));
+            let clean = !members.iter().any(|&v| self.dirty[v as usize]);
             if clean {
                 if let Some(cached) = self.cache.remove(&key) {
                     if cached.members == members {
@@ -265,11 +267,12 @@ impl IncrementalSolver {
                     }
                 }
             }
-            let sol = self.solve_component(&members);
-            // Write the solved tree back as the new basis.
+            let sol = self.solve_component(members);
+            // Write the solved tree back as the new basis; the root's
+            // self-parent becomes `NONE`.
             for (i, &v) in sol.members.iter().enumerate() {
                 let p = sol.tree[i];
-                self.basis[v as usize] = if p == NONE {
+                self.basis[v as usize] = if p == NONE || p as usize == i {
                     NONE
                 } else {
                     sol.members[p as usize]
@@ -279,30 +282,67 @@ impl IncrementalSolver {
             next_cache.insert(key, sol);
         }
         self.cache = next_cache;
-        self.dirty.clear();
+        self.dirty.fill(false);
         out
     }
 
-    /// Solve one component: build the induced subgraph, repair the prior
-    /// basis into a spanning tree of it (or fall back to BFS), run the
-    /// solver.
-    fn solve_component(&mut self, members: &[NodeId]) -> CompSolution {
-        let local = |v: NodeId| -> u32 {
-            members
-                .binary_search(&v)
-                .expect("member lookup: component lists are exhaustive") as u32 // lint: allow(no-panic-in-library) — `members` is the union-find component of every vertex it touches
-        };
-        let mut b = GraphBuilder::new(members.len());
-        for (i, &v) in members.iter().enumerate() {
-            for &w in self.adj[v as usize].iter() {
-                if w > v {
-                    b.add_edge(i as u32, local(w))
-                        .expect("mirror adjacency is in-range and loop-free"); // lint: allow(no-panic-in-library) — insert_edge rejects self-loops and out-of-range ids at the mirror boundary
+    /// Label the live components of the mirror, seeding each search at
+    /// the smallest unlabelled vertex, then counting-sort the vertices by
+    /// label. Returns the members of every component back to back
+    /// (`order[starts[c]..starts[c + 1]]`, ascending), components in
+    /// ascending order of smallest member — the simulator's
+    /// `live_components` order, and a cache key stable across churn —
+    /// and records each vertex's index within its component in
+    /// `local_of`.
+    fn group_components(&mut self) -> (Vec<NodeId>, Vec<usize>) {
+        let n = self.alive.len();
+        let mut label = vec![NONE; n];
+        let mut starts = vec![0usize];
+        let mut stack = Vec::new();
+        for seed in 0..n {
+            if !self.alive[seed] || label[seed] != NONE {
+                continue;
+            }
+            let c = (starts.len() - 1) as u32;
+            let mut size = 0;
+            label[seed] = c;
+            stack.push(seed as NodeId);
+            while let Some(v) = stack.pop() {
+                size += 1;
+                for &w in &self.adj[v as usize] {
+                    if label[w as usize] == NONE {
+                        label[w as usize] = c;
+                        stack.push(w);
+                    }
                 }
             }
+            starts.push(starts[starts.len() - 1] + size);
         }
-        let sub = b.build();
-        let solution = match self.repair_basis(members, &local) {
+        let mut cursor = starts.clone();
+        let mut order = vec![0; starts[starts.len() - 1]];
+        for (v, &c) in label.iter().enumerate() {
+            if c != NONE {
+                let at = cursor[c as usize];
+                order[at] = v as NodeId;
+                self.local_of[v] = (at - starts[c as usize]) as u32;
+                cursor[c as usize] += 1;
+            }
+        }
+        (order, starts)
+    }
+
+    /// Solve one component: build its graph straight from the mirror rows
+    /// (relabelled through `local_of`, which keeps them ascending), repair
+    /// the prior basis into a spanning tree of it (or fall back to BFS),
+    /// run the solver.
+    fn solve_component(&mut self, members: &[NodeId]) -> CompSolution {
+        let (adj, local_of) = (&self.adj, &self.local_of);
+        let sub = Graph::from_sorted_rows(
+            members
+                .iter()
+                .map(|&v| adj[v as usize].iter().map(|&w| local_of[w as usize])),
+        );
+        let solution = match self.repair_basis(members, &sub) {
             Some((root, parents)) => {
                 self.stats.warm_starts += 1;
                 self.solver.solve_from(&sub, root, &parents)
@@ -334,27 +374,27 @@ impl IncrementalSolver {
     }
 
     /// Try to repair the stored basis into a spanning tree of the
-    /// component (component-local ids). Valid forest links are kept;
-    /// fragments are re-rooted and linked through the smallest crossing
-    /// mirror edges. Returns `None` when no usable links survive a
+    /// component's graph `sub` (component-local ids). Valid forest links
+    /// are kept; fragments are re-rooted and linked through the smallest
+    /// crossing edges. Returns `None` when no usable links survive a
     /// cheaper full rebuild.
-    fn repair_basis(
-        &self,
-        members: &[NodeId],
-        local: &dyn Fn(NodeId) -> u32,
-    ) -> Option<(NodeId, Vec<NodeId>)> {
+    fn repair_basis(&self, members: &[NodeId], sub: &Graph) -> Option<(NodeId, Vec<NodeId>)> {
         let k = members.len();
         if k <= 1 {
             return Some((0, vec![NONE; k]));
         }
-        // Collect surviving links: parent must be a live member and the
-        // edge must still exist in the mirror.
+        // Collect surviving links: parent must be a member and the edge
+        // must still exist.
         let mut parents = vec![NONE; k];
         let mut kept = 0usize;
         for (i, &v) in members.iter().enumerate() {
             let p = self.basis[v as usize];
-            if p != NONE && self.adj[v as usize].contains(&p) && members.binary_search(&p).is_ok() {
-                parents[i] = local(p);
+            if p == NONE {
+                continue;
+            }
+            let j = self.local_of[p as usize];
+            if members.get(j as usize) == Some(&p) && sub.has_edge(i as u32, j) {
+                parents[i] = j;
                 kept += 1;
             }
         }
@@ -373,16 +413,15 @@ impl IncrementalSolver {
         // Link fragments through the smallest crossing edges, re-rooting
         // the absorbed fragment onto its crossing endpoint.
         if uf.components() > 1 {
-            for (i, &v) in members.iter().enumerate() {
-                for &w in self.adj[v as usize].iter() {
-                    if w < v {
+            for i in sub.nodes() {
+                for &j in sub.neighbors(i) {
+                    if j < i {
                         continue;
                     }
-                    let j = local(w);
-                    if uf.find(i as u32) != uf.find(j) {
+                    if uf.find(i) != uf.find(j) {
                         reroot(&mut parents, j);
-                        parents[j as usize] = i as u32;
-                        uf.union(i as u32, j);
+                        parents[j as usize] = i;
+                        uf.union(i, j);
                     }
                 }
             }
@@ -396,6 +435,28 @@ impl IncrementalSolver {
             .expect("a finite forest has a root") as u32; // lint: allow(no-panic-in-library) — the union above verified acyclicity, so some vertex has no parent
         parents[root as usize] = root; // self-parent, the tree-structure convention
         Some((root, parents))
+    }
+}
+
+/// Insert `x` into the ascending `row`; `false` when already present.
+fn row_insert(row: &mut Vec<NodeId>, x: NodeId) -> bool {
+    match row.binary_search(&x) {
+        Ok(_) => false,
+        Err(at) => {
+            row.insert(at, x);
+            true
+        }
+    }
+}
+
+/// Remove `x` from the ascending `row`; `false` when absent.
+fn row_remove(row: &mut Vec<NodeId>, x: NodeId) -> bool {
+    match row.binary_search(&x) {
+        Ok(at) => {
+            row.remove(at);
+            true
+        }
+        Err(_) => false,
     }
 }
 
@@ -518,6 +579,35 @@ mod tests {
             }
         }
         assert!(inc.stats().warm_starts > 0, "chain must warm-start");
+    }
+
+    /// After `solve_all` the basis marks every root `NONE`: one per live
+    /// component, and no vertex is its own parent.
+    #[test]
+    fn basis_roots_are_none_not_self_parents() {
+        let mut edges = vec![(0, 1), (1, 2), (2, 0), (2, 3)];
+        edges.extend([(4, 5), (5, 6), (6, 7), (7, 4), (4, 6)]);
+        let g = graph_from_edges(10, &edges); // 8 and 9 isolated
+        let mut inc = engine(&g);
+        let check = |inc: &IncrementalSolver, sols: &[CompSolution]| {
+            for sol in sols {
+                let roots = sol
+                    .members
+                    .iter()
+                    .filter(|&&v| inc.basis[v as usize] == NONE);
+                assert_eq!(roots.count(), 1, "component {:?}", sol.members);
+                assert!(sol.members.iter().all(|&v| inc.basis[v as usize] != v));
+            }
+        };
+        let sols = inc.solve_all();
+        assert_eq!(sols.len(), 4);
+        check(&inc, &sols);
+        inc.remove_edge(2, 3);
+        inc.crash(5);
+        inc.insert_edge(3, 8);
+        let sols = inc.solve_all();
+        assert_eq!(sols.len(), 4);
+        check(&inc, &sols);
     }
 
     #[test]

@@ -166,6 +166,59 @@ impl Graph {
     pub fn degree_sum(&self) -> usize {
         self.adj.len()
     }
+
+    /// Build straight from adjacency rows, row `v` holding `v`'s
+    /// neighbors. One O(n + m) pass fills the CSR arrays and the edge
+    /// list; there is no duplicate probe and no sort, so the rows must
+    /// already be canonical: each strictly ascending, free of `v` itself,
+    /// in range `0..n`, and symmetric (`w` in row `v` iff `v` in row
+    /// `w`). The result equals what [`GraphBuilder::build`] makes of the
+    /// same edges.
+    ///
+    /// # Panics
+    /// Debug builds panic when the rows break that contract.
+    pub fn from_sorted_rows<R, I>(rows: R) -> Graph
+    where
+        R: IntoIterator<Item = I>,
+        I: IntoIterator<Item = NodeId>,
+    {
+        let rows = rows.into_iter();
+        let mut row_ptr = Vec::with_capacity(rows.size_hint().0 + 1);
+        row_ptr.push(0u32);
+        let mut adj = Vec::new();
+        let mut edges = Vec::new();
+        for (v, row) in rows.enumerate() {
+            let v = v as NodeId;
+            for w in row {
+                adj.push(w);
+                if w > v {
+                    edges.push((v, w));
+                }
+            }
+            row_ptr.push(adj.len() as u32);
+        }
+        // Same index-width contract as `GraphBuilder::build`.
+        debug_assert!(
+            adj.len() <= u32::MAX as usize,
+            "directed slot count 2m = {} overflows the u32 CSR offsets",
+            adj.len()
+        );
+        let g = Graph {
+            n: (row_ptr.len() - 1) as u32,
+            row_ptr,
+            adj,
+            edges,
+        };
+        debug_assert!(
+            g.nodes().all(|v| {
+                let row = g.neighbors(v);
+                row.windows(2).all(|p| p[0] < p[1])
+                    && row.iter().all(|&w| w < g.n && w != v && g.has_edge(w, v))
+            }),
+            "rows are not sorted, in range, loop-free and symmetric"
+        );
+        g
+    }
 }
 
 /// Incremental builder for [`Graph`].
@@ -434,6 +487,97 @@ mod tests {
         assert_eq!(g.slot_endpoints(1), (2, 0));
         assert_eq!(g.slot_endpoints(2), (2, 3));
         assert_eq!(g.slot_endpoints(3), (3, 2));
+    }
+
+    /// `g`'s adjacency as owned rows.
+    fn rows_of(g: &Graph) -> Vec<Vec<NodeId>> {
+        g.nodes().map(|v| g.neighbors(v).to_vec()).collect()
+    }
+
+    /// The direct constructor rebuilds `g` field for field.
+    fn assert_rows_round_trip(g: &Graph) {
+        let direct = Graph::from_sorted_rows(rows_of(g));
+        assert_eq!(direct, *g);
+    }
+
+    #[test]
+    fn sorted_rows_match_builder_on_generators() {
+        use crate::generators::{gadgets, random, structured, GraphFamily};
+        assert_rows_round_trip(&random::gnp_connected_sparse(500, 8.0 / 500.0, 3));
+        assert_rows_round_trip(&random::barabasi_albert(300, 2, 5));
+        for family in GraphFamily::all() {
+            assert_rows_round_trip(&family.generate(40, 7));
+        }
+        assert_rows_round_trip(&structured::path(9).unwrap());
+        assert_rows_round_trip(&structured::cycle(9).unwrap());
+        assert_rows_round_trip(&structured::complete(7).unwrap());
+        assert_rows_round_trip(&structured::complete_bipartite(3, 4).unwrap());
+        assert_rows_round_trip(&structured::torus(4, 5).unwrap());
+        assert_rows_round_trip(&structured::star_with_ring(8).unwrap());
+        assert_rows_round_trip(&gadgets::double_broom(4, 3).unwrap());
+    }
+
+    #[test]
+    fn sorted_rows_match_builder_on_degenerate_graphs() {
+        let empty = Graph::from_sorted_rows(Vec::<Vec<NodeId>>::new());
+        assert_eq!(empty, GraphBuilder::new(0).build());
+        let single = Graph::from_sorted_rows(vec![Vec::<NodeId>::new()]);
+        assert_eq!(single, GraphBuilder::new(1).build());
+        // Isolated vertices 1 and 4 leave empty rows between full ones.
+        assert_rows_round_trip(&graph_from_edges(6, &[(0, 2), (2, 3), (3, 5), (0, 5)]));
+        assert_rows_round_trip(&GraphBuilder::new(5).build());
+    }
+
+    #[test]
+    fn sorted_rows_match_builder_on_an_induced_subgraph() {
+        use crate::generators::random;
+        let g = random::gnp_connected_sparse(200, 0.05, 11);
+        // Keep the vertices not divisible by 3, relabelled densely; the
+        // relabelling is monotone, so filtered rows stay sorted.
+        let keep: Vec<NodeId> = g.nodes().filter(|v| v % 3 != 0).collect();
+        let local = |w: NodeId| keep.binary_search(&w).ok().map(|i| i as NodeId);
+        let mut b = GraphBuilder::new(keep.len());
+        for (i, &v) in keep.iter().enumerate() {
+            for j in g.neighbors(v).iter().filter_map(|&w| local(w)) {
+                if j > i as NodeId {
+                    b.add_edge(i as NodeId, j).unwrap();
+                }
+            }
+        }
+        let direct = Graph::from_sorted_rows(
+            keep.iter()
+                .map(|&v| g.neighbors(v).iter().filter_map(|&w| local(w))),
+        );
+        assert_eq!(direct, b.build());
+        assert!(direct.m() > 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "rows are not sorted")]
+    fn sorted_rows_reject_unsorted_rows() {
+        Graph::from_sorted_rows(vec![vec![2, 1], vec![0], vec![0]]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "rows are not sorted")]
+    fn sorted_rows_reject_asymmetric_rows() {
+        Graph::from_sorted_rows(vec![vec![1, 2], vec![0], vec![]]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "rows are not sorted")]
+    fn sorted_rows_reject_self_loops() {
+        Graph::from_sorted_rows(vec![vec![0, 1], vec![0]]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "rows are not sorted")]
+    fn sorted_rows_reject_out_of_range_ids() {
+        Graph::from_sorted_rows(vec![vec![1], vec![0, 2]]);
     }
 
     /// Regression: staging E edges must be O(E) expected, not O(E²). The

@@ -3,7 +3,8 @@
 //! oracle and brackets the Fürer–Raghavachari baseline on random and
 //! structured small-n families (the 256-case sweep), and the incremental
 //! re-solver is outcome-identical to a from-scratch solve after every
-//! prefix of a random churn chain.
+//! prefix of a random churn chain. A pinned digest holds every field of
+//! every component solution over one fixed churn chain at n = 2000.
 
 use proptest::prelude::*;
 use ssmdst::exact::{IncrementalSolver, Solver};
@@ -140,4 +141,87 @@ proptest! {
             }
         }
     }
+}
+
+/// FNV-1a fold of `words` into `h`.
+fn fnv(mut h: u64, words: &[u32]) -> u64 {
+    for &w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Fold every field of every component solution into `h`.
+fn fold(h: u64, sols: &[ssmdst::exact::CompSolution]) -> u64 {
+    let mut h = fnv(h, &[sols.len() as u32]);
+    for s in sols {
+        h = fnv(h, &[s.members.len() as u32]);
+        h = fnv(h, &s.members);
+        h = fnv(h, &[s.lower, s.upper, s.root, u32::from(s.settled)]);
+        h = fnv(h, &s.tree);
+        h = fnv(h, &[s.witness.set().len() as u32, s.witness.claimed()]);
+        h = fnv(h, s.witness.set());
+    }
+    h
+}
+
+/// Pinned outcome digest: every `CompSolution` field over a fixed churn
+/// chain on G(2000, 8/n) — cold solve, non-bridge remove/insert pairs, a
+/// bridge removal that splits the component, a crash and a rejoin. The
+/// constant was recorded before the incremental mirror went flat; any
+/// representation change of the engine must keep it.
+#[test]
+fn pinned_outcome_digest_over_a_churn_chain() {
+    use ssmdst::graph::biconnectivity;
+    use ssmdst::graph::generators::random::gnp_connected_sparse;
+
+    let n = 2000;
+    let g = gnp_connected_sparse(n, 8.0 / n as f64, 20_260_417);
+    let bridges = biconnectivity(&g).bridges;
+    assert!(!bridges.is_empty(), "the chain needs a bridge to cut");
+    let non_bridges: Vec<(u32, u32)> = g
+        .edges()
+        .iter()
+        .copied()
+        .filter(|e| bridges.binary_search(e).is_err())
+        .collect();
+    let solver = Solver::builder()
+        .settle_budget(500_000)
+        .settle_max_n(256)
+        .build();
+    let mut inc = IncrementalSolver::from_graph(&g, solver);
+    let mut h = fold(0xcbf2_9ce4_8422_2325, &inc.solve_all());
+    for k in 0..4 {
+        let (u, v) = non_bridges[(k * 997) % non_bridges.len()];
+        assert!(inc.remove_edge(u, v));
+        h = fold(h, &inc.solve_all());
+        assert!(inc.insert_edge(u, v));
+        h = fold(h, &inc.solve_all());
+    }
+    let (bu, bv) = bridges[bridges.len() / 2];
+    assert!(inc.remove_edge(bu, bv));
+    let split = inc.solve_all();
+    assert_eq!(split.len(), 2, "a bridge removal splits the component");
+    h = fold(h, &split);
+    let hub = (0..n as u32).max_by_key(|&v| g.degree(v)).expect("n > 0");
+    let nbrs: Vec<u32> = inc.neighbors(hub).collect();
+    assert!(inc.crash(hub));
+    h = fold(h, &inc.solve_all());
+    assert!(inc.rejoin(hub, &nbrs));
+    h = fold(h, &inc.solve_all());
+    assert_eq!(
+        h, 3_278_606_706_650_506_064,
+        "pinned outcome digest changed"
+    );
+    let stats = inc.stats();
+    let pinned = ssmdst::exact::Stats {
+        cache_hits: 2,
+        warm_starts: 12,
+        cold_starts: 1,
+        pivots: 1611,
+    };
+    assert_eq!(stats, pinned, "the chain's work counters changed");
 }
