@@ -530,9 +530,25 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("\"warp\""), "names the bad backend: {err}");
         assert!(
-            err.contains("reference") && err.contains("batched") && err.contains("soa"),
+            err.contains("reference") && err.contains("sharded"),
             "lists the options: {err}"
         );
+        // The retired backends are unknown names now: the same listed
+        // error, never a silent run on the reference loop.
+        for retired in ["batched", "soa"] {
+            let err = parse(&format!(
+                "{ok_head}backend = {retired}\nscheduler = sync\nstop = max-rounds=10 quiet=auto"
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("{retired:?}")),
+                "names {retired}: {err}"
+            );
+            assert!(
+                err.contains("reference") && err.contains("sharded"),
+                "lists the options: {err}"
+            );
+        }
     }
 
     /// The protocol line round-trips when non-default and is *absent*
@@ -584,8 +600,6 @@ mod tests {
         assert_eq!(parse(&text).unwrap().backend, Backend::Reference);
 
         for b in [
-            Backend::Batched,
-            Backend::Soa,
             Backend::Sharded { shards: 4 },
             Backend::Sharded { shards: 1 },
         ] {

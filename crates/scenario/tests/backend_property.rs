@@ -39,8 +39,6 @@ fn assert_backends_conform(scn: &Scenario, ctx: &str) {
     reference.backend = Backend::Reference;
     let (ref_out, ref_trace) = engine::run_traced_any(&reference);
     for backend in [
-        Backend::Batched,
-        Backend::Soa,
         Backend::Sharded { shards: 1 },
         Backend::Sharded { shards: 3 },
     ] {

@@ -1,7 +1,6 @@
-//! Execution backends: swappable implementations of the round loop's
-//! hot path (obligation derivation + schedule execution).
+//! Execution backends: who executes a round's schedule.
 //!
-//! Every backend must produce the **bit-identical execution** — the same
+//! Every backend runs the **bit-identical execution** — the same
 //! obligations, keyed by the same scheduler `KeySource` draws in
 //! the same canonical enumeration order (ticks ascending by node id, then
 //! deliveries ascending by slot id), executed in the same ascending
@@ -10,24 +9,14 @@
 //! not a convention but a correctness contract: request keys in a
 //! different order and every subsequent draw shifts.
 //!
-//! What a backend *may* change is how the obligations are derived and how
-//! the sorted batch is executed:
+//! Both backends share one derivation (`EventQueue::schedule`: sorted
+//! snapshots of the incremental indices, each delivery carrying its
+//! channel slot) and differ only in who executes the schedule:
 //!
-//! * [`Backend::Reference`] — the historical event-driven loop: scratch
-//!   snapshots of the incremental indices, per-delivery `(from, to)` →
-//!   slot binary search at execution time. The oracle all others are
-//!   measured against.
-//! * [`Backend::Batched`] — batched message dispatch: the schedule carries
-//!   each delivery's channel slot, so execution walks runs of
-//!   same-slot deliveries and pops the channel directly — no per-message
-//!   address re-resolution, one occupancy transition per run.
-//! * [`Backend::Soa`] — struct-of-arrays obligation projection: the tick
-//!   and occupancy indices are mirrored into flat `u64` bit-words
-//!   (64 nodes / slots per word), and the sorted enumeration falls out of
-//!   an ascending word scan instead of comparison-sorting scratch
-//!   vectors. Pre-stages the flattened-state layout the sharded loop
-//!   builds on. Executes through the same slot-batched path as
-//!   [`Backend::Batched`].
+//! * [`Backend::Reference`] — the sequential run-coalesced executor:
+//!   ticks re-check their guard, consecutive same-slot deliveries pop
+//!   their channel in one `Network::deliver_run`. The oracle the sharded
+//!   backend is measured against.
 //! * [`Backend::Sharded`] — the round body fans out across worker
 //!   threads: nodes are split into contiguous shards, each shard executes
 //!   its own events against pre-staged channel contents, and a
@@ -36,33 +25,31 @@
 //!   merge stay sequential, which is what keeps the digest byte-identical
 //!   for *any* shard count.
 //!
-//! Conformance is enforced by a ladder (unit equivalence tests here,
-//! golden traces, the full `.scn` corpus, and a storm-mutant sweep in
+//! Conformance is enforced by a ladder (unit equivalence tests, golden
+//! traces, the full `.scn` corpus, and a storm-mutant sweep in
 //! `tests/backend_conformance.rs`), with divergence measured by the
 //! chained [`crate::ScheduleDigest`] — see `BACKEND_EVALUATION.md` at the
 //! workspace root.
 
 use std::fmt;
 
-/// Which round-loop implementation a [`crate::Runner`] uses. The choice
-/// affects speed only; every backend is required to produce byte-identical
+/// Which round-loop executor a [`crate::Runner`] uses. The choice affects
+/// speed only; both backends are required to produce byte-identical
 /// schedules and digests (enforced by the conformance ladder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The historical event-driven loop — the conformance oracle.
+    /// The sequential executor — the conformance oracle.
     #[default]
     Reference,
-    /// Slot-carrying schedule + run-batched channel dispatch.
-    Batched,
-    /// Bit-word (struct-of-arrays) obligation projection.
-    Soa,
     /// Round body sharded across `shards` worker threads with a
     /// deterministic round-barrier merge. `shards == 1` runs the same
     /// stage/execute/merge pipeline inline (no thread spawn).
     Sharded {
-        /// Number of contiguous node shards (and worker threads). Clamped
-        /// to at least 1 by [`Backend::parse`]; a count above the node
-        /// count simply leaves trailing shards empty.
+        /// Number of contiguous node shards. [`Backend::parse`] accepts
+        /// `1..=`[`MAX_SHARDS`]; a round runs at most
+        /// `min(shards, MAX_SHARDS, n)` of them (one worker thread per
+        /// non-empty shard), which changes nothing observable because the
+        /// digest is shard-count-invariant.
         shards: usize,
     },
 }
@@ -72,17 +59,17 @@ pub enum Backend {
 /// leak ambient machine state into `.scn` files and CI matrix legs.
 pub const DEFAULT_SHARDS: usize = 4;
 
+/// Largest shard count `sharded:K` accepts. Each shard of a round is one
+/// worker thread, so an unbounded `K` from a `.scn` file or `--backend`
+/// would ask for that many threads every round.
+pub const MAX_SHARDS: usize = 256;
+
 impl Backend {
     /// Every registered backend family, reference first — the iteration
     /// order of the conformance ladder. The sharded entry uses a shard
     /// count that does not divide typical node counts evenly, so the
     /// ladder always exercises ragged shard boundaries.
-    pub const ALL: [Backend; 4] = [
-        Backend::Reference,
-        Backend::Batched,
-        Backend::Soa,
-        Backend::Sharded { shards: 3 },
-    ];
+    pub const ALL: [Backend; 2] = [Backend::Reference, Backend::Sharded { shards: 3 }];
 
     /// Stable lowercase family label, used by `.scn` files, `--backend`
     /// and the CI matrix. The sharded family renders its shard count only
@@ -91,8 +78,6 @@ impl Backend {
     pub fn label(self) -> &'static str {
         match self {
             Backend::Reference => "reference",
-            Backend::Batched => "batched",
-            Backend::Soa => "soa",
             Backend::Sharded { .. } => "sharded",
         }
     }
@@ -100,27 +85,28 @@ impl Backend {
     /// Parse a label; unknown names are an error that lists the options
     /// (never a silent fall-through to the reference backend). The
     /// sharded family accepts `sharded` (a fixed default of
-    /// [`DEFAULT_SHARDS`] shards) or `sharded:K` for an explicit count.
+    /// [`DEFAULT_SHARDS`] shards) or `sharded:K` for an explicit count
+    /// `1 <= K <= MAX_SHARDS`.
     pub fn parse(s: &str) -> Result<Backend, String> {
         match s {
             "reference" => Ok(Backend::Reference),
-            "batched" => Ok(Backend::Batched),
-            "soa" => Ok(Backend::Soa),
             "sharded" => Ok(Backend::Sharded {
                 shards: DEFAULT_SHARDS,
             }),
             other => {
                 if let Some(count) = other.strip_prefix("sharded:") {
                     return match count.parse::<usize>() {
-                        Ok(shards) if shards >= 1 => Ok(Backend::Sharded { shards }),
+                        Ok(shards) if (1..=MAX_SHARDS).contains(&shards) => {
+                            Ok(Backend::Sharded { shards })
+                        }
                         _ => Err(format!(
                             "bad shard count {count:?} in backend {other:?} \
-                             (sharded:K needs an integer K >= 1)"
+                             (sharded:K needs an integer 1 <= K <= {MAX_SHARDS})"
                         )),
                     };
                 }
                 Err(format!(
-                    "unknown backend {other:?} (reference | batched | soa | sharded[:K])"
+                    "unknown backend {other:?} (reference | sharded[:K])"
                 ))
             }
         }
@@ -131,7 +117,7 @@ impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Backend::Sharded { shards } => write!(f, "sharded:{shards}"),
-            other => f.write_str(other.label()),
+            Backend::Reference => f.write_str(self.label()),
         }
     }
 }
@@ -149,10 +135,8 @@ mod tests {
             // …and every Display form starts with the family label.
             assert!(b.to_string().starts_with(b.label()), "{b}");
         }
-        // The three flat backends still print their bare label.
-        for b in [Backend::Reference, Backend::Batched, Backend::Soa] {
-            assert_eq!(b.to_string(), b.label());
-        }
+        // The reference backend still prints its bare label.
+        assert_eq!(Backend::Reference.to_string(), Backend::Reference.label());
     }
 
     #[test]
@@ -168,7 +152,7 @@ mod tests {
                 shards: DEFAULT_SHARDS
             })
         );
-        for shards in [1usize, 2, 7, 64] {
+        for shards in [1usize, 2, 7, 64, MAX_SHARDS] {
             assert_eq!(
                 Backend::parse(&format!("sharded:{shards}")),
                 Ok(Backend::Sharded { shards })
@@ -180,12 +164,38 @@ mod tests {
         }
     }
 
+    /// A shard count above the cap is the same listed `bad shard count`
+    /// error as a malformed one — never a request for K threads a round.
+    #[test]
+    fn over_cap_shard_count_is_rejected_with_the_range() {
+        let over = MAX_SHARDS + 1;
+        for bad in [
+            format!("sharded:{over}"),
+            format!("sharded:{}", usize::MAX),
+            "sharded:99999999999999999999999".to_string(),
+        ] {
+            let err = Backend::parse(&bad).unwrap_err();
+            assert!(err.contains("bad shard count"), "{bad}: {err}");
+            assert!(
+                err.contains(&format!("1 <= K <= {MAX_SHARDS}")),
+                "names the accepted range: {err}"
+            );
+        }
+    }
+
+    /// Unknown names — including the retired `batched` and `soa` — are a
+    /// listed-options error, never a silent run on the reference loop.
     #[test]
     fn unknown_label_lists_the_options() {
-        let err = Backend::parse("warp9").unwrap_err();
-        assert!(err.contains("\"warp9\""), "names the bad input: {err}");
-        for b in Backend::ALL {
-            assert!(err.contains(b.label()), "lists {}: {err}", b.label());
+        for bad in ["warp9", "batched", "soa"] {
+            let err = Backend::parse(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown backend {bad:?}")),
+                "names the bad input: {err}"
+            );
+            for b in Backend::ALL {
+                assert!(err.contains(b.label()), "lists {}: {err}", b.label());
+            }
         }
     }
 }

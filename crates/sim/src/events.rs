@@ -26,7 +26,10 @@
 //! Each obligation is assigned a daemon-specific priority key
 //! ([`crate::scheduler::KeySource`]) at enumeration time and the batch is
 //! executed in ascending `(key, enumeration index)` order — fully
-//! deterministic per `(scheduler, seed)`.
+//! deterministic per `(scheduler, seed)`. Every delivery also carries its
+//! channel slot, so both backends' executors pop channels directly.
+//! [`EventQueue::schedule`] is the only derivation; a `#[cfg(test)]`
+//! brute-force rescan (`schedule_rescan`) checks it event for event.
 
 use crate::automaton::Automaton;
 use crate::dense::DenseSet;
@@ -34,14 +37,10 @@ use crate::network::Network;
 use crate::scheduler::{Action, KeySource};
 use crate::NodeId;
 
-/// One pending event: daemon priority key, enumeration index (total-order
-/// tie-break), and the action itself.
-type Pending = (u128, u32, Action);
-
-/// A pending event that also carries the channel slot a delivery pops
-/// (`NO_SLOT` for ticks), so the slot-batched executor never re-resolves
-/// `(from, to)` addresses. Key and index semantics are identical to
-/// [`Pending`].
+/// One scheduled event: daemon priority key, enumeration index
+/// (total-order tie-break), the action itself, and the channel slot a
+/// delivery pops (`NO_SLOT` for ticks), so the executors never re-resolve
+/// `(from, to)` addresses.
 pub(crate) type PendingSlot = (u128, u32, Action, u32);
 
 /// Slot marker for tick events in a [`PendingSlot`] schedule. Never a
@@ -54,15 +53,7 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 pub(crate) struct EventQueue {
     /// Alive nodes whose `enabled()` predicate held at last refresh.
     ticks: DenseSet,
-    /// Bit-word mirror of `ticks` (bit `v % 64` of word `v / 64`), kept in
-    /// lockstep by [`EventQueue::refresh`] regardless of the active
-    /// backend, so switching backends mid-run is always safe. The SoA
-    /// backend enumerates ticks by scanning these words ascending instead
-    /// of sorting a scratch snapshot.
-    tick_words: Vec<u64>,
     /// Reusable buffer for the current round's keyed events.
-    buf: Vec<Pending>,
-    /// Reusable buffer for slot-carrying schedules (batched/SoA backends).
     slot_buf: Vec<PendingSlot>,
     /// Scratch: this round's tick set, sorted by node id.
     tick_scratch: Vec<NodeId>,
@@ -70,27 +61,16 @@ pub(crate) struct EventQueue {
     slot_scratch: Vec<u32>,
     /// Scratch: dirty nodes drained from the network.
     dirty_scratch: Vec<NodeId>,
-    /// Per-round occupancy bit-words for the SoA backend. Scattered from
-    /// the occupancy index each round and cleared word-by-word as the
-    /// scan consumes them — all-zero between rounds.
-    slot_words: Vec<u64>,
-    /// Indices of the `slot_words` entries touched this round (the only
-    /// words the scan needs to visit or sort).
-    touched_words: Vec<u32>,
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
             ticks: DenseSet::new(),
-            tick_words: Vec::new(),
-            buf: Vec::new(),
             slot_buf: Vec::new(),
             tick_scratch: Vec::new(),
             slot_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
-            slot_words: Vec::new(),
-            touched_words: Vec::new(),
         }
     }
 
@@ -98,19 +78,12 @@ impl EventQueue {
     /// marked dirty since the last call.
     // lint: hot-path
     pub(crate) fn refresh<A: Automaton>(&mut self, net: &mut Network<A>) {
-        let words = net.n().div_ceil(64);
-        if self.tick_words.len() < words {
-            self.tick_words.resize(words, 0);
-        }
         net.take_dirty_into(&mut self.dirty_scratch);
         for &v in &self.dirty_scratch {
-            let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
             if net.is_alive(v) && net.node(v).enabled() {
                 self.ticks.insert(v);
-                self.tick_words[w] |= bit;
             } else {
                 self.ticks.remove(v);
-                self.tick_words[w] &= !bit;
             }
         }
     }
@@ -118,45 +91,10 @@ impl EventQueue {
     /// Build this round's pending events (canonical enumeration order:
     /// ticks ascending by node id, then channel deliveries ascending by
     /// slot id) and hand them back sorted into daemon execution order.
+    /// Each delivery carries its channel slot, so execution can pop
+    /// channels directly in same-slot runs.
     // lint: hot-path
     pub(crate) fn schedule<A: Automaton>(
-        &mut self,
-        round: u64,
-        keys: &mut KeySource,
-        net: &Network<A>,
-    ) -> &[Pending] {
-        self.buf.clear();
-        self.tick_scratch.clear();
-        self.tick_scratch.extend_from_slice(self.ticks.members());
-        self.tick_scratch.sort_unstable();
-        let mut seq = 0u32;
-        for &v in &self.tick_scratch {
-            let a = Action::Tick(v);
-            self.buf.push((keys.key(round, &a), seq, a));
-            seq += 1;
-        }
-        net.occupied_slots_into(&mut self.slot_scratch);
-        self.slot_scratch.sort_unstable();
-        for &s in &self.slot_scratch {
-            let (from, to) = net.slot_endpoints(s);
-            let a = Action::Deliver(from, to);
-            for _ in 0..net.slot_len(s) {
-                self.buf.push((keys.key(round, &a), seq, a));
-                seq += 1;
-            }
-        }
-        self.buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.buf
-    }
-
-    /// [`EventQueue::schedule`] for the batched backend: the same
-    /// derivation (scratch snapshots of the incremental indices, sorted
-    /// in place), but each delivery carries its channel slot so execution
-    /// can pop channels directly in same-slot runs. Keys are requested in
-    /// the identical canonical enumeration order, so the stateful daemons
-    /// draw the identical streams.
-    // lint: hot-path
-    pub(crate) fn schedule_batched<A: Automaton>(
         &mut self,
         round: u64,
         keys: &mut KeySource,
@@ -186,107 +124,42 @@ impl EventQueue {
         &self.slot_buf
     }
 
-    /// [`EventQueue::schedule`] for the SoA backend: obligations are
-    /// enumerated by scanning flat bit-word projections ascending — the
-    /// always-maintained `tick_words` mirror for ticks, and a per-round
-    /// scatter of the occupancy index into `slot_words` for deliveries —
-    /// so the canonical ascending orders fall out of word arithmetic
-    /// instead of comparison sorts over scratch vectors (the only sort is
-    /// over the *touched word indices*, 64× fewer elements). Same
-    /// obligations, same key-request order, same final `(key, seq)` sort.
-    // lint: hot-path
-    pub(crate) fn schedule_soa<A: Automaton>(
-        &mut self,
-        round: u64,
-        keys: &mut KeySource,
-        net: &Network<A>,
-    ) -> &[PendingSlot] {
-        self.slot_buf.clear();
-        let mut seq = 0u32;
-        let words = net.n().div_ceil(64).min(self.tick_words.len());
-        for w in 0..words {
-            let mut bits = self.tick_words[w];
-            while bits != 0 {
-                let v = (w * 64) as NodeId + bits.trailing_zeros();
-                bits &= bits - 1;
-                let a = Action::Tick(v);
-                self.slot_buf.push((keys.key(round, &a), seq, a, NO_SLOT));
-                seq += 1;
-            }
-        }
-        let slot_words = net.slot_count().div_ceil(64);
-        if self.slot_words.len() < slot_words {
-            self.slot_words.resize(slot_words, 0);
-        }
-        self.touched_words.clear();
-        for &s in net.occupied_slot_members() {
-            let w = s / 64;
-            if self.slot_words[w as usize] == 0 {
-                self.touched_words.push(w);
-            }
-            self.slot_words[w as usize] |= 1u64 << (s % 64);
-        }
-        self.touched_words.sort_unstable();
-        for i in 0..self.touched_words.len() {
-            let w = self.touched_words[i];
-            let mut bits = std::mem::take(&mut self.slot_words[w as usize]);
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros();
-                bits &= bits - 1;
-                let (from, to) = net.slot_endpoints(s);
-                let a = Action::Deliver(from, to);
-                for _ in 0..net.slot_len(s) {
-                    self.slot_buf.push((keys.key(round, &a), seq, a, s));
-                    seq += 1;
-                }
-            }
-        }
-        self.slot_buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.slot_buf
-    }
-
-    /// Like [`EventQueue::schedule`], but enumerating obligations the
-    /// pre-engine way — full scans over all nodes and all channel slots.
-    /// Same obligations, same keys, same execution order; only the
-    /// discovery cost differs. Kept for the old-vs-new throughput
-    /// benchmarks and as a live cross-check that the incremental indices
-    /// are consistent.
-    pub(crate) fn schedule_rescan<A: Automaton>(
-        &mut self,
-        round: u64,
-        keys: &mut KeySource,
-        net: &Network<A>,
-    ) -> &[Pending] {
-        self.buf.clear();
-        let mut seq = 0u32;
-        for v in 0..net.n() as NodeId {
-            if net.is_alive(v) && net.node(v).enabled() {
-                let a = Action::Tick(v);
-                self.buf.push((keys.key(round, &a), seq, a));
-                seq += 1;
-            }
-        }
-        for s in 0..net.slot_count() as u32 {
-            let len = net.slot_len(s);
-            if len == 0 {
-                continue;
-            }
-            let (from, to) = net.slot_endpoints(s);
-            let a = Action::Deliver(from, to);
-            for _ in 0..len {
-                self.buf.push((keys.key(round, &a), seq, a));
-                seq += 1;
-            }
-        }
-        self.buf.sort_unstable_by_key(|e| (e.0, e.1));
-        &self.buf
-    }
-
     /// Current number of enabled ticks (for diagnostics/tests).
     #[cfg(test)]
     pub(crate) fn enabled_ticks(&self) -> usize {
         self.ticks.len()
     }
+}
+
+/// Brute-force oracle for [`EventQueue::schedule`]: the same obligations
+/// enumerated the pre-index way — full scans over all nodes and all
+/// channel slots. Same keys, same execution order; only the discovery
+/// cost differs, so any disagreement is an inconsistent incremental index.
+#[cfg(test)]
+pub(crate) fn schedule_rescan<A: Automaton>(
+    round: u64,
+    keys: &mut KeySource,
+    net: &Network<A>,
+) -> Vec<PendingSlot> {
+    let mut buf = Vec::new();
+    let mut seq = 0u32;
+    for v in 0..net.n() as NodeId {
+        if net.is_alive(v) && net.node(v).enabled() {
+            let a = Action::Tick(v);
+            buf.push((keys.key(round, &a), seq, a, NO_SLOT));
+            seq += 1;
+        }
+    }
+    for s in 0..net.slot_count() as u32 {
+        let (from, to) = net.slot_endpoints(s);
+        let a = Action::Deliver(from, to);
+        for _ in 0..net.slot_len(s) {
+            buf.push((keys.key(round, &a), seq, a, s));
+            seq += 1;
+        }
+    }
+    buf.sort_unstable_by_key(|e| (e.0, e.1));
+    buf
 }
 
 #[cfg(test)]
@@ -379,23 +252,23 @@ mod tests {
             let mut k1 = KeySource::new(sched);
             let mut k2 = KeySource::new(sched);
             let a = q.schedule(5, &mut k1, &n).to_vec();
-            let b = q.schedule_rescan(5, &mut k2, &n).to_vec();
+            let b = schedule_rescan(5, &mut k2, &n);
             assert_eq!(a, b, "engines disagree under {sched:?}");
             assert_eq!(a.len(), 3 + 3, "3 ticks + 3 in-flight messages");
         }
     }
 
-    /// Every backend derivation must produce the identical `(key, seq,
-    /// action)` stream — and the slot-carrying ones must annotate each
-    /// delivery with the slot that actually backs its channel.
+    /// The derivation annotates every delivery with the slot that actually
+    /// backs its channel, and every tick with `NO_SLOT` — what the
+    /// run-coalesced executor and the shard engine pop channels by.
     #[test]
-    fn batched_and_soa_derivations_match_reference() {
+    fn scheduled_deliveries_carry_their_channel_slot() {
         let mut n = net(true);
         let mut q = EventQueue::new();
         q.refresh(&mut n);
         n.tick_node(0);
         n.tick_node(1);
-        n.node_mut(2).open = false; // a hole in the tick bit-words
+        n.node_mut(2).open = false; // a hole in the tick set
         q.refresh(&mut n);
         for sched in [
             Scheduler::Synchronous,
@@ -404,29 +277,18 @@ mod tests {
         ] {
             let mut k1 = KeySource::new(sched);
             let mut k2 = KeySource::new(sched);
-            let mut k3 = KeySource::new(sched);
-            let reference = q.schedule(4, &mut k1, &n).to_vec();
-            let batched = q.schedule_batched(4, &mut k2, &n).to_vec();
-            check_slotted(&n, &reference, &batched, sched, "batched");
-            let soa = q.schedule_soa(4, &mut k3, &n).to_vec();
-            check_slotted(&n, &reference, &soa, sched, "soa");
+            let schedule = q.schedule(4, &mut k1, &n).to_vec();
+            assert_eq!(schedule, schedule_rescan(4, &mut k2, &n), "{sched:?}");
+            check_slots(&n, &schedule);
         }
     }
 
-    fn check_slotted(
-        n: &Network<Gate>,
-        reference: &[Pending],
-        slotted: &[PendingSlot],
-        sched: Scheduler,
-        label: &str,
-    ) {
-        let stripped: Vec<Pending> = slotted.iter().map(|&(k, i, a, _)| (k, i, a)).collect();
-        assert_eq!(reference, &stripped[..], "{label} diverged under {sched:?}");
-        for &(_, _, a, s) in slotted {
+    fn check_slots(n: &Network<Gate>, schedule: &[PendingSlot]) {
+        for &(_, _, a, s) in schedule {
             match a {
                 Action::Tick(_) => assert_eq!(s, NO_SLOT, "tick carries a slot"),
                 Action::Deliver(from, to) => {
-                    assert_eq!(n.slot_endpoints(s), (from, to), "{label}: wrong slot")
+                    assert_eq!(n.slot_endpoints(s), (from, to), "wrong slot")
                 }
             }
         }
@@ -456,16 +318,11 @@ mod tests {
             let mut k1 = KeySource::new(sched);
             let mut k2 = KeySource::new(sched);
             let a = q.schedule(2, &mut k1, &n).to_vec();
-            let b = q.schedule_rescan(2, &mut k2, &n).to_vec();
+            let b = schedule_rescan(2, &mut k2, &n);
             assert_eq!(a, b, "engines disagree under {sched:?} after churn");
             // Slot recycling breaks the slot-order == (from,to)-order
-            // coincidence; the slot-carrying derivations must still agree.
-            let mut k3 = KeySource::new(sched);
-            let mut k4 = KeySource::new(sched);
-            let batched = q.schedule_batched(2, &mut k3, &n).to_vec();
-            check_slotted(&n, &a, &batched, sched, "batched");
-            let soa = q.schedule_soa(2, &mut k4, &n).to_vec();
-            check_slotted(&n, &a, &soa, sched, "soa");
+            // coincidence; the carried slots must still back each channel.
+            check_slots(&n, &a);
         }
     }
 
@@ -494,7 +351,7 @@ mod tests {
             let mut k = KeySource::new(sched);
             let reference = q.schedule(3, &mut k, &n).to_vec();
             // (key, seq) is unique per event…
-            let mut ks: Vec<(u128, u32)> = reference.iter().map(|&(k, s, _)| (k, s)).collect();
+            let mut ks: Vec<(u128, u32)> = reference.iter().map(|&(k, s, ..)| (k, s)).collect();
             ks.sort_unstable();
             ks.dedup();
             assert_eq!(
@@ -521,9 +378,9 @@ mod tests {
 
     /// Fold an execution order into the replay digest, the way
     /// `step_round_digest` chains what actually ran.
-    fn digest_of(events: &[Pending]) -> u64 {
+    fn digest_of(events: &[PendingSlot]) -> u64 {
         let mut d = crate::trace::Digest::new();
-        for &(_, _, a) in events {
+        for &(_, _, a, _) in events {
             match a {
                 Action::Tick(v) => {
                     d.write_u32(0);
@@ -547,12 +404,12 @@ mod tests {
         round: u64,
         keys: &mut KeySource,
         net: &Network<A>,
-    ) -> Vec<Pending> {
-        let mut actions: Vec<Action> = Vec::new();
+    ) -> Vec<PendingSlot> {
+        let mut actions: Vec<(Action, u32)> = Vec::new();
         let mut ticks: Vec<NodeId> = q.ticks.members().to_vec();
         ticks.sort_unstable();
         for &v in &ticks {
-            actions.push(Action::Tick(v));
+            actions.push((Action::Tick(v), NO_SLOT));
         }
         let mut slots = Vec::new();
         net.occupied_slots_into(&mut slots);
@@ -560,12 +417,12 @@ mod tests {
         for &s in &slots {
             let (from, to) = net.slot_endpoints(s);
             for _ in 0..net.slot_len(s) {
-                actions.push(Action::Deliver(from, to));
+                actions.push((Action::Deliver(from, to), s));
             }
         }
-        let mut buf: Vec<Pending> = Vec::with_capacity(actions.len());
-        for (i, a) in actions.iter().enumerate().rev() {
-            buf.push((keys.key(round, a), i as u32, *a));
+        let mut buf: Vec<PendingSlot> = Vec::with_capacity(actions.len());
+        for (i, &(a, s)) in actions.iter().enumerate().rev() {
+            buf.push((keys.key(round, &a), i as u32, a, s));
         }
         buf.sort_unstable_by_key(|e| (e.0, e.1));
         buf
@@ -588,7 +445,8 @@ mod tests {
         n.tick_node(0);
         n.tick_node(1);
         q.refresh(&mut n);
-        let actions_of = |evs: &[Pending]| evs.iter().map(|&(_, _, a)| a).collect::<Vec<_>>();
+        let actions_of =
+            |evs: &[PendingSlot]| evs.iter().map(|&(_, _, a, _)| a).collect::<Vec<_>>();
         for sched in [Scheduler::Synchronous, Scheduler::Adversarial { seed: 7 }] {
             let mut k1 = KeySource::new(sched);
             let canonical = q.schedule(2, &mut k1, &n).to_vec();

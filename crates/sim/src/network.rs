@@ -280,14 +280,6 @@ impl<A: Automaton> Network<A> {
         out.extend_from_slice(self.occ.members());
     }
 
-    /// Direct view of the occupancy index's member list (engine-internal,
-    /// unordered, zero-copy) — the SoA backend scatters this into its
-    /// bit-words without a scratch snapshot.
-    #[inline]
-    pub(crate) fn occupied_slot_members(&self) -> &[u32] {
-        self.occ.members()
-    }
-
     /// Endpoints of a live slot (engine-internal, O(1)).
     #[inline]
     pub(crate) fn slot_endpoints(&self, s: u32) -> (NodeId, NodeId) {
@@ -363,28 +355,19 @@ impl<A: Automaton> Network<A> {
         let Some(slot) = self.slot_of(from, to) else {
             panic!("deliver_one: ({from},{to}) is not a channel"); // lint: allow(no-panic-in-library) — documented precondition: callers enumerate live channels
         };
-        let Some(msg) = self.channels[slot as usize].pop_front() else {
-            return false;
-        };
         if self.channels[slot as usize].is_empty() {
-            self.occ.remove(slot);
+            return false;
         }
-        self.in_flight -= 1;
-        self.metrics.on_deliver(msg.kind());
-        let mut out = std::mem::take(&mut self.outbox);
-        self.nodes[to as usize].receive(from, msg, &mut out);
-        self.mark_dirty(to);
-        self.route(to, &mut out);
-        self.outbox = out;
+        self.deliver_run(slot, 1);
         true
     }
 
-    /// Deliver `k` consecutive messages from channel `slot` — the batched
-    /// form of [`Network::deliver_one`] used by the slot-carrying
-    /// backends. The address is already resolved (no `(from, to)` binary
+    /// Deliver `k` consecutive messages from channel `slot` — the one
+    /// delivery body behind [`Network::deliver_one`] and the run-coalesced
+    /// executor. The address is already resolved (no `(from, to)` binary
     /// search per message), and the empty-transition check runs once at
     /// the end of the run instead of after every pop. Everything
-    /// observable is sequenced exactly as `k` `deliver_one` calls:
+    /// observable is sequenced exactly as `k` single deliveries:
     /// per-message `in_flight` decrement before routing (so
     /// `peak_in_flight` matches), per-message dirty-marking, FIFO order.
     /// Deferring the occupancy removal is sound because the receiver `to`
@@ -446,7 +429,7 @@ impl<A: Automaton> Network<A> {
     // owner of every fabric invariant: the shard engine only ever touches
     // channels, occupancy, in-flight accounting and metrics through the
     // methods below, each of which mirrors exactly one slice of what
-    // `route`/`deliver_one` do on the sequential path.
+    // `route`/`deliver_run` do on the sequential path.
     // ------------------------------------------------------------------
 
     /// Disjoint borrows of the state the per-shard executors need:
@@ -523,7 +506,7 @@ impl<A: Automaton> Network<A> {
     }
 
     /// Merge phase: account one staged message as delivered (the
-    /// `in_flight -= 1` that `deliver_one` performs before routing).
+    /// `in_flight -= 1` that `deliver_run` performs before routing).
     // lint: hot-path
     pub(crate) fn merge_deliver_accounted(&mut self) {
         self.in_flight -= 1;

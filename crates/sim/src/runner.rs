@@ -55,8 +55,9 @@ impl RunOutcome {
 /// `O(n + #channels)` rescans. At steady state the whole loop (derive →
 /// key → sort → execute → route) reuses its buffers and touches no ordered
 /// tree: zero heap allocations per round, pinned by `tests/zero_alloc.rs`.
-/// [`Runner::step_round_rescan`] keeps the old full-scan discovery alive
-/// for benchmarks; both paths execute the identical schedule.
+/// Both [`Backend`]s share this one derivation and one observer loop; they
+/// differ only in who executes the schedule — the sequential run-coalesced
+/// executor or the shard engine.
 ///
 /// # Example
 ///
@@ -120,10 +121,10 @@ impl<A: Automaton> Runner<A> {
         }
     }
 
-    /// Switch the round-loop backend. Safe at any round boundary — every
-    /// backend derives the identical schedule from the same incremental
-    /// indices, so execution is bit-for-bit unchanged (the conformance
-    /// ladder enforces it); only the hot-path cost profile differs.
+    /// Switch the round-loop backend. Safe at any round boundary — both
+    /// backends run the one derivation over the same incremental indices,
+    /// so execution is bit-for-bit unchanged (the conformance ladder
+    /// enforces it); only who executes the schedule differs.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -167,45 +168,16 @@ impl<A: Automaton> Runner<A> {
     pub fn step_round_observed<O: Observer<A>>(&mut self, obs: &mut O) -> Stop {
         obs.on_round_start(&self.net, self.round);
         self.queue.refresh(&mut self.net);
+        let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
+        for &(key, idx, act, _) in events {
+            obs.on_event(key, idx, act);
+        }
         match self.backend {
-            Backend::Reference => {
-                let events = self.queue.schedule(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act) in events {
-                    obs.on_event(key, idx, act);
-                }
-                Self::execute(&mut self.net, events);
-            }
-            Backend::Batched => {
-                let events = self
-                    .queue
-                    .schedule_batched(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act, _) in events {
-                    obs.on_event(key, idx, act);
-                }
-                Self::execute_slotted(&mut self.net, events);
-            }
-            Backend::Soa => {
-                let events = self
-                    .queue
-                    .schedule_soa(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act, _) in events {
-                    obs.on_event(key, idx, act);
-                }
-                Self::execute_slotted(&mut self.net, events);
-            }
-            Backend::Sharded { shards } => {
-                // Derivation and key draws stay sequential (the SoA
-                // bit-word projection); only execution fans out. The
-                // shard engine's round-barrier merge re-applies sends in
-                // this exact schedule order — see `crate::shard`.
-                let events = self
-                    .queue
-                    .schedule_soa(self.round, &mut self.keys, &self.net);
-                for &(key, idx, act, _) in events {
-                    obs.on_event(key, idx, act);
-                }
-                self.shard.run_round(&mut self.net, events, shards);
-            }
+            Backend::Reference => Self::execute(&mut self.net, events),
+            // Derivation and key draws stay sequential; only execution fans
+            // out. The shard engine's round-barrier merge re-applies sends
+            // in this exact schedule order — see `crate::shard`.
+            Backend::Sharded { shards } => self.shard.run_round(&mut self.net, events, shards),
         }
         self.round += 1;
         self.net.metrics.rounds = self.round;
@@ -230,56 +202,20 @@ impl<A: Automaton> Runner<A> {
         let _ = self.step_round_observed(&mut FoldInto(digest));
     }
 
-    /// Execute one full round with the pre-engine obligation discovery: a
-    /// full rescan of all nodes and channels. Byte-for-byte the same
-    /// execution as [`Runner::step_round`] (same obligations, same keys,
-    /// same order) — only the discovery cost differs. Kept for the
-    /// old-vs-new engine benchmarks.
-    pub fn step_round_rescan(&mut self) {
-        self.queue.refresh(&mut self.net); // keep the index warm for later steps
-        let events = self
-            .queue
-            .schedule_rescan(self.round, &mut self.keys, &self.net);
-        Self::execute(&mut self.net, events);
-        self.round += 1;
-        self.net.metrics.rounds = self.round;
-    }
-
+    /// Execute a schedule sequentially: ticks re-check their guard per
+    /// event; consecutive same-slot deliveries collapse into one
+    /// [`Network::deliver_run`] call, so the channel address is resolved
+    /// zero times (the schedule carries it) instead of once per message.
     // lint: hot-path
-    fn execute(net: &mut Network<A>, events: &[(u128, u32, Action)]) {
-        for &(_, _, act) in events {
+    fn execute(net: &mut Network<A>, events: &[PendingSlot]) {
+        let mut i = 0;
+        while i < events.len() {
+            let (_, _, act, slot) = events[i];
             match act {
                 // Re-check the guard at execution time: an earlier event of
                 // this round (a delivery) may have disabled the node, and a
                 // daemon must never run a step whose guard is false.
                 Action::Tick(v) => {
-                    if net.is_alive(v) && net.node(v).enabled() {
-                        net.tick_node(v);
-                    }
-                }
-                Action::Deliver(from, to) => {
-                    // The channel is guaranteed to still hold this round's
-                    // message: deliveries only pop and FIFO keeps order.
-                    let ok = net.deliver_one(from, to);
-                    debug_assert!(ok, "obligation for empty channel {from}->{to}");
-                }
-            }
-        }
-    }
-
-    /// Execute a slot-carrying schedule (batched and SoA backends): ticks
-    /// keep the per-event guard re-check; consecutive same-slot deliveries
-    /// collapse into one [`Network::deliver_run`] call, so the channel
-    /// address is resolved zero times (the schedule carries it) instead of
-    /// once per message.
-    // lint: hot-path
-    fn execute_slotted(net: &mut Network<A>, events: &[PendingSlot]) {
-        let mut i = 0;
-        while i < events.len() {
-            let (_, _, act, slot) = events[i];
-            match act {
-                Action::Tick(v) => {
-                    // Same execution-time guard re-check as `execute`.
                     if net.is_alive(v) && net.node(v).enabled() {
                         net.tick_node(v);
                     }
@@ -460,7 +396,17 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    /// The indexed engine and the legacy rescan path must produce the exact
+    /// One round whose obligations come from the brute-force rescan oracle
+    /// instead of the incremental indices (executed by the same executor).
+    fn step_round_rescan<A: Automaton>(r: &mut Runner<A>) {
+        r.queue.refresh(&mut r.net); // keep the index warm for later steps
+        let events = crate::events::schedule_rescan(r.round, &mut r.keys, &r.net);
+        Runner::execute(&mut r.net, &events);
+        r.round += 1;
+        r.net.metrics.rounds = r.round;
+    }
+
+    /// The indexed engine and the rescan oracle must produce the exact
     /// same execution for every daemon — same per-round values, same
     /// message counts.
     #[test]
@@ -475,7 +421,7 @@ mod tests {
                 let mut samples = Vec::new();
                 for _ in 0..25 {
                     if rescan {
-                        r.step_round_rescan();
+                        step_round_rescan(&mut r);
                     } else {
                         r.step_round();
                     }
@@ -539,8 +485,6 @@ mod tests {
         ] {
             let reference = run(Backend::Reference, sched);
             for b in [
-                Backend::Batched,
-                Backend::Soa,
                 // 1 = inline pipeline, 3 = ragged split of n = 9,
                 // 8 = near-degenerate (one node per shard, one empty).
                 Backend::Sharded { shards: 1 },
@@ -620,6 +564,30 @@ mod tests {
             (d.value(), vals, r.network().metrics.total_sent),
             "rotating shard counts diverged from the reference"
         );
+    }
+
+    /// A shard count far above the node count (1000 shards on 9 nodes, as
+    /// a library caller may construct it without [`Backend::parse`]'s cap)
+    /// runs at most one shard per node and still matches the reference
+    /// digest — the worker count is clamped, the digest shard-count-free.
+    #[test]
+    fn shard_count_above_n_is_clamped_and_matches_reference() {
+        let sched = Scheduler::Adversarial { seed: 5 };
+        let run = |backend: Backend| {
+            let mut d = crate::trace::Digest::new();
+            let mut r = Runner::new(min_net(9), sched);
+            r.set_backend(backend);
+            for _ in 0..30 {
+                r.step_round_digest(&mut d);
+            }
+            let vals: Vec<u32> = r.network().nodes().iter().map(|a| a.value).collect();
+            let states = r.shard.shard_states();
+            ((d.value(), vals, r.network().metrics.total_sent), states)
+        };
+        let (reference, _) = run(Backend::Reference);
+        let (sharded, states) = run(Backend::Sharded { shards: 1000 });
+        assert_eq!(reference, sharded, "sharded:1000 diverged on 9 nodes");
+        assert!(states <= 9, "{states} shard states for 9 nodes");
     }
 
     /// A tick whose `enabled()` guard is falsified *mid-round* (by a

@@ -10,7 +10,7 @@
 //!    one per shard (`chunks_mut`, so the borrows are disjoint). Each
 //!    shard walks *its* slice of the global schedule — the events whose
 //!    executing node it owns, in global order — running ticks (with the
-//!    same execution-time guard re-check as the sequential backends) and
+//!    same execution-time guard re-check as the sequential executor) and
 //!    deliveries (popped from the staged inboxes). Sends are not applied:
 //!    they are resolved to a channel slot and banked in a per-shard
 //!    outbox, tagged with the global index of the event that produced
@@ -36,6 +36,7 @@
 //! enforces all of this against the reference oracle.
 
 use crate::automaton::{Automaton, Message, Outbox};
+use crate::backend::MAX_SHARDS;
 use crate::events::PendingSlot;
 use crate::network::Network;
 use crate::scheduler::Action;
@@ -110,22 +111,32 @@ impl<M: Message> ShardEngine<M> {
         ShardEngine { shards: Vec::new() }
     }
 
+    /// Per-shard states allocated so far (the most shards any round ran).
+    #[cfg(test)]
+    pub(crate) fn shard_states(&self) -> usize {
+        self.shards.len()
+    }
+
     /// Execute one round's schedule across `shards` contiguous node
-    /// ranges, bit-identically to the sequential backends (see the module
+    /// ranges, bit-identically to the sequential executor (see the module
     /// docs for the three-phase structure and the invariance argument).
+    /// The effective count is clamped to `1..=min(MAX_SHARDS, n)`: more
+    /// shards than nodes would only add empty shards, and the digest is
+    /// shard-count-invariant, so the clamp changes nothing observable.
     pub(crate) fn run_round<A: Automaton<Msg = M>>(
         &mut self,
         net: &mut Network<A>,
         events: &[PendingSlot],
         shards: usize,
     ) {
-        let shards = shards.max(1);
+        let n = net.n();
+        let shards = shards.min(MAX_SHARDS).min(n).max(1);
         while self.shards.len() < shards {
             self.shards.push(ShardState::new());
         }
-        let n = net.n();
-        // Contiguous ownership: node v belongs to shard v / chunk. A shard
-        // count above n leaves trailing shards empty, which is harmless.
+        // Contiguous ownership: node v belongs to shard v / chunk. With
+        // shards <= n every shard owns at least one node except, on ragged
+        // splits, a few trailing ones, which stay empty (harmless).
         let chunk = n.div_ceil(shards).max(1);
         debug_assert!(
             events.len() < u32::MAX as usize,
@@ -267,7 +278,7 @@ fn execute_shard<A: Automaton>(
         match act {
             Action::Tick(v) => {
                 // Same execution-time guard re-check as the sequential
-                // backends. Exact despite parallelism: only this shard
+                // executor. Exact despite parallelism: only this shard
                 // mutates v's state, and it replays v's events in global
                 // order, so the guard sees the same history either way.
                 let local = (v - base) as usize;

@@ -81,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: ssmdst [--family NAME] [--n N] [--seed S] \
                      [--scheduler sync|async|adversarial] [--corrupt FRAC] \
-                     [--dot PATH] [--max-rounds R] [--backend reference|batched|soa|sharded[:K]]\n\
+                     [--dot PATH] [--max-rounds R] [--backend reference|sharded[:K]]\n\
                      \x20      ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN] [--backend B]\n\
                      \x20      ssmdst shrink SCENARIO.scn|CORPUS-NAME --pred not-converged|degree-ge:K|quality [-o OUT.scn]\n\
                      \x20      ssmdst storm [SEED.scn|CORPUS-NAME ...] --seed S --execs N [--workers W] [--batch B]\n\
@@ -169,7 +169,7 @@ fn cmd_replay(args: &[String]) -> ! {
     let Some(handle) = handle else {
         eprintln!(
             "usage: ssmdst replay SCENARIO.scn|CORPUS-NAME [--trace OUT] [--expect GOLDEN] \
-             [--backend reference|batched|soa|sharded[:K]]"
+             [--backend reference|sharded[:K]]"
         );
         std::process::exit(2);
     };

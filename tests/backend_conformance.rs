@@ -40,15 +40,13 @@ fn golden_names() -> &'static [&'static str] {
     ]
 }
 
-fn non_reference() -> [Backend; 3] {
-    // The ladder's sharded entry uses 3 shards — a count that does not
+fn non_reference() -> impl Iterator<Item = Backend> {
+    // `Backend::ALL`'s sharded entry uses 3 shards — a count that does not
     // divide typical node counts, so ragged boundaries are always hit.
     // Per-shard-count invariance gets its own rung below.
-    [
-        Backend::Batched,
-        Backend::Soa,
-        Backend::Sharded { shards: 3 },
-    ]
+    Backend::ALL
+        .into_iter()
+        .filter(|&b| b != Backend::Reference)
 }
 
 /// Rung 1: every backend reproduces every committed golden trace
@@ -170,5 +168,31 @@ fn storm_mutant_sweep_digests_are_identical_on_every_backend() {
             checked += 1;
         }
     }
-    assert_eq!(checked, execs * non_reference().len() as u64);
+    assert_eq!(checked, execs * non_reference().count() as u64);
+}
+
+/// The CLI rejects a retired backend name with the listed-options error
+/// (exit 2) on both the flag form and `replay` — it never silently runs
+/// the reference loop under a name that no longer exists.
+#[test]
+fn retired_backend_names_fail_on_the_cli() {
+    for args in [
+        &["--backend", "soa"][..],
+        &["replay", "corrupt-start-total", "--backend", "soa"][..],
+        &["replay", "corrupt-start-total", "--backend", "batched"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ssmdst"))
+            .args(args)
+            .output()
+            .expect("ssmdst runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown backend")
+                && stderr.contains("reference")
+                && stderr.contains("sharded"),
+            "{args:?}: listed-options error expected, got {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
 }

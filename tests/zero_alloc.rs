@@ -62,8 +62,8 @@ impl Automaton for Gossip {
 #[test]
 fn steady_state_round_loop_is_allocation_free() {
     // Every execution backend inherits the fabric's zero-allocation
-    // contract: the batched backend's slot buffer and the SoA backend's
-    // bit-words are steady-state scratch, warmed once and reused forever.
+    // contract: the schedule buffer and the derivation's sorted snapshots
+    // are steady-state scratch, warmed once and reused forever.
     // The sharded backend is metered at `shards: 1`, which runs the full
     // stage/execute/merge pipeline inline: that measures the engine's own
     // per-round allocations (inboxes, outboxes, skip lists — all reused).
